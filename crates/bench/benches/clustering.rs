@@ -41,6 +41,14 @@ fn bench_clusterers(c: &mut Criterion) {
         let km = KMeans::new(KMeansConfig::with_k(3));
         b.iter(|| black_box(km.fit(&data).expect("fit")));
     });
+    // The same fit on the exact Hamming matrix (built once, outside the
+    // timed loop, as the TD-AC sweep builds it once for all k).
+    let hamming = BitMatrix::pack(&data).expect("binary").hamming_matrix();
+    group.bench_function("kmeans_k3_10restarts_hamming", |b| {
+        let km = KMeans::new(KMeansConfig::with_k(3));
+        let obs = tdac_core::Observer::disabled();
+        b.iter(|| black_box(km.fit_hamming(&hamming, data.n_rows(), &obs).expect("fit")));
+    });
     group.bench_function("pam_k3", |b| {
         let pam = Pam::new(PamConfig::with_k(3));
         b.iter(|| black_box(pam.fit(&data, &Hamming).expect("fit")));

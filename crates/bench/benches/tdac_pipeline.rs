@@ -9,7 +9,7 @@ use std::hint::black_box;
 use clustering::{silhouette_paper, Hamming, KMeans, KMeansConfig};
 use td_algorithms::{TruthDiscovery, TruthFinder};
 use tdac_bench::exam_bench;
-use tdac_core::{truth_vector_matrix, Tdac, TdacConfig};
+use tdac_core::{truth_vector_matrix, truth_vector_set, Tdac, TdacConfig};
 
 fn bench_phases(c: &mut Criterion) {
     let (dataset, _) = exam_bench(62, 120);
@@ -28,6 +28,13 @@ fn bench_phases(c: &mut Criterion) {
     group.bench_function("phase2_single_kmeans_k4", |b| {
         let km = KMeans::new(KMeansConfig::with_k(4));
         b.iter(|| black_box(km.fit(&matrix).expect("fit")));
+    });
+    // The fit the k-sweep runs: the same k-means on the exact Hamming
+    // matrix, which the sweep builds once for all k.
+    let hamming = truth_vector_set(&tf, &view, &obs).0.packed.hamming_matrix();
+    group.bench_function("phase2_single_kmeans_k4_hamming", |b| {
+        let km = KMeans::new(KMeansConfig::with_k(4));
+        b.iter(|| black_box(km.fit_hamming(&hamming, matrix.n_rows(), &obs).expect("fit")));
     });
     group.bench_function("phase2_silhouette_k4", |b| {
         let asg = KMeans::new(KMeansConfig::with_k(4))

@@ -13,6 +13,7 @@
 //! accumulators so the compiler can autovectorize them; no SIMD
 //! intrinsics or non-vendored dependencies are involved.
 
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
@@ -264,6 +265,19 @@ impl BitMatrix {
     #[inline]
     pub fn hamming(&self, i: usize, j: usize) -> u64 {
         hamming_words(self.row_words(i), self.row_words(j))
+    }
+
+    /// The full `n × n` pairwise Hamming matrix, row-major with a zero
+    /// diagonal: exact disagreement counts, the input of
+    /// [`crate::KMeans::fit_hamming`]. Rows are evaluated in parallel;
+    /// the result does not depend on the thread count.
+    pub fn hamming_matrix(&self) -> Vec<u64> {
+        let n = self.rows;
+        let strips: Vec<Vec<u64>> = (0..n)
+            .into_par_iter()
+            .map(|i| ((i + 1)..n).map(|j| self.hamming(i, j)).collect())
+            .collect();
+        crate::distance::mirror_strips(strips, n)
     }
 
     /// Masked disagreement counts between rows `i` and `j`:

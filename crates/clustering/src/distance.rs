@@ -148,13 +148,13 @@ impl Metric for Cosine {
 }
 
 /// The observation rows a distance computation runs over, in whichever
-/// representations the caller happens to hold.
+/// representation the caller holds.
 ///
-/// `&Matrix` and `&BitMatrix` both convert via `Into`, so existing
-/// call sites read unchanged (`pairwise_distances(&matrix, …)`).
-/// Carrying `Dual` lets the kernel pick per metric without ever
-/// re-packing or densifying: packed popcount for bit-counting metrics,
-/// dense floats for everything else.
+/// `&Matrix` and `&BitMatrix` both convert via `Into`, so call sites
+/// read `pairwise_distances(&matrix, …)` either way. Packed rows feed the
+/// popcount kernel for bit-counting metrics and are densified for every
+/// other metric; dense binary rows are packed on the fly when the
+/// popcount kernel applies.
 #[derive(Clone, Copy)]
 pub enum Rows<'a> {
     /// Dense `f64` rows only; the kernel may pack them on the fly when
@@ -163,14 +163,6 @@ pub enum Rows<'a> {
     /// Packed rows only; densified (via [`BitMatrix::to_dense`]) when a
     /// non-bit-counting metric needs floats.
     Packed(&'a BitMatrix),
-    /// Both representations of the same data — the kernel trusts that
-    /// they agree and never converts.
-    Dual {
-        /// The dense representation.
-        dense: &'a Matrix,
-        /// The packed representation of the same rows.
-        packed: &'a BitMatrix,
-    },
 }
 
 impl Rows<'_> {
@@ -179,7 +171,6 @@ impl Rows<'_> {
         match self {
             Rows::Dense(m) => m.n_rows(),
             Rows::Packed(b) => b.n_rows(),
-            Rows::Dual { dense, .. } => dense.n_rows(),
         }
     }
 
@@ -188,7 +179,6 @@ impl Rows<'_> {
         match self {
             Rows::Dense(m) => m.n_cols(),
             Rows::Packed(b) => b.n_cols(),
-            Rows::Dual { dense, .. } => dense.n_cols(),
         }
     }
 }
@@ -337,8 +327,8 @@ pub fn pairwise_distances<'a>(
 
 /// Mirrors parallel upper-triangle strips into a row-major `n×n`
 /// symmetric matrix with a zero diagonal.
-fn mirror_strips(strips: Vec<Vec<f64>>, n: usize) -> Vec<f64> {
-    let mut dist = vec![0.0f64; n * n];
+pub(crate) fn mirror_strips<T: Copy + Default>(strips: Vec<Vec<T>>, n: usize) -> Vec<T> {
+    let mut dist = vec![T::default(); n * n];
     for (i, strip) in strips.iter().enumerate() {
         for (off, &d) in strip.iter().enumerate() {
             let j = i + 1 + off;
@@ -367,31 +357,28 @@ fn pairwise_impl(
         // packs on the fly.
         let on_the_fly;
         let packed: Option<&BitMatrix> = match rows {
-            Rows::Packed(b) | Rows::Dual { packed: b, .. } => Some(b),
+            Rows::Packed(b) => Some(b),
             Rows::Dense(m) => {
                 on_the_fly = BitMatrix::pack(m);
                 on_the_fly.as_ref()
             }
         };
         if let Some(bm) = packed {
-            let strips: Vec<Vec<f64>> = (0..n)
-                .into_par_iter()
-                .map(|i| ((i + 1)..n).map(|j| bm.hamming(i, j) as f64).collect())
-                .collect();
+            let dist = bm.hamming_matrix().into_iter().map(|h| h as f64).collect();
             observer.incr(td_obs::Counter::DistanceEvals, pairs);
             observer.incr(td_obs::Counter::PackedKernelInvocations, 1);
             observer.incr(
                 td_obs::Counter::WordsXored,
                 pairs * bm.words_per_row() as u64,
             );
-            return mirror_strips(strips, n);
+            return dist;
         }
         // Non-binary data: fall through to the dense path.
     }
 
     let densified;
     let data: &Matrix = match rows {
-        Rows::Dense(m) | Rows::Dual { dense: m, .. } => m,
+        Rows::Dense(m) => m,
         Rows::Packed(b) => {
             densified = b.to_dense();
             &densified
@@ -447,7 +434,7 @@ fn update_pairwise_impl(
         && metric.counts_bits_on_binary()
     {
         match rows {
-            Rows::Packed(b) | Rows::Dual { packed: b, .. } => Some(b),
+            Rows::Packed(b) => Some(b),
             Rows::Dense(m) => {
                 on_the_fly = BitMatrix::pack(m);
                 on_the_fly.as_ref()
@@ -461,7 +448,7 @@ fn update_pairwise_impl(
         None
     } else {
         Some(match rows {
-            Rows::Dense(m) | Rows::Dual { dense: m, .. } => m,
+            Rows::Dense(m) => m,
             Rows::Packed(b) => {
                 densified = b.to_dense();
                 &densified
@@ -688,24 +675,6 @@ mod tests {
         let via_packed = pairwise_distances(&bits, &Euclidean, &disabled());
         let via_dense = pairwise_distances(&data, &Euclidean, &disabled());
         assert_eq!(via_packed, via_dense);
-    }
-
-    #[test]
-    fn dual_rows_use_the_packed_side_for_hamming() {
-        let data = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 0.0], vec![1.0, 1.0]]);
-        let bits = BitMatrix::pack(&data).unwrap();
-        let observer = Observer::enabled();
-        let dual = pairwise_distances(
-            Rows::Dual {
-                dense: &data,
-                packed: &bits,
-            },
-            &Hamming,
-            &observer,
-        );
-        assert_eq!(dual, pairwise_distances(&data, &Hamming, &disabled()));
-        let p = observer.profile().unwrap();
-        assert_eq!(p.counter("packed_kernel_invocations"), Some(1));
     }
 
     #[test]

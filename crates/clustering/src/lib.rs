@@ -21,7 +21,9 @@
 //!   representation-aware pairwise kernel ([`distance::Rows`],
 //!   [`distance::DistanceOptions`], [`bitmatrix::KernelPolicy`]);
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ or random
-//!   initialization, multiple seeded restarts and empty-cluster repair;
+//!   initialization, multiple seeded restarts and empty-cluster repair,
+//!   in feature space or — for 0/1 rows — exactly on the pairwise
+//!   Hamming matrix, at a cost independent of the row width;
 //! * [`silhouette`] — per-sample, per-cluster and partition-level
 //!   silhouette coefficients, in both the standard (global mean) and the
 //!   paper's macro-averaged form (Eqs. 5–7);
@@ -51,7 +53,7 @@ pub use distance::{
 };
 pub use error::ClusterError;
 pub use hierarchical::{Agglomerative, Linkage};
-pub use kmeans::{Init, KMeans, KMeansConfig, KMeansResult};
+pub use kmeans::{HammingKMeansResult, Inertia, Init, KMeans, KMeansConfig, KMeansResult};
 pub use kselect::{select_k, select_k_cancellable, select_k_elbow, ElbowSelection, KSelection};
 pub use matrix::Matrix;
 pub use pam::{Pam, PamConfig, PamResult};

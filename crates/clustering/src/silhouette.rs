@@ -58,10 +58,10 @@ pub fn silhouette_samples<'a>(
 
     let densified;
     let access = match rows {
-        Rows::Packed(b) | Rows::Dual { packed: b, .. } if metric.counts_bits_on_binary() => {
+        Rows::Packed(b) if metric.counts_bits_on_binary() => {
             Access::Packed(b)
         }
-        Rows::Dense(m) | Rows::Dual { dense: m, .. } => Access::Dense(m),
+        Rows::Dense(m) => Access::Dense(m),
         Rows::Packed(b) => {
             densified = b.to_dense();
             Access::Dense(&densified)

@@ -35,7 +35,7 @@
 use serde::{Deserialize, Serialize};
 
 use td_algorithms::TruthResult;
-use td_model::{Dataset, ModelError, Value};
+use td_model::{AttributeId, Dataset, ModelError, ObjectId, Value, ValueId};
 use td_obs::{Degradation, RunProfile};
 
 use crate::tdac::TdacOutcome;
@@ -131,7 +131,7 @@ impl TruthQuery {
         let mut resp = QueryResponse::default();
         match self {
             TruthQuery::All => {
-                resp.predictions = sorted_predictions(dataset, result, None);
+                resp.predictions = sorted_predictions(dataset, result);
                 resp.sources = all_sources(dataset, result);
             }
             TruthQuery::Object(object) => {
@@ -141,7 +141,7 @@ impl TruthQuery {
                         name: object.clone(),
                     }
                 })?;
-                resp.predictions = sorted_predictions(dataset, result, Some(oid));
+                resp.predictions = object_predictions(dataset, result, oid);
             }
             TruthQuery::Attribute(object, attribute) => {
                 let oid = dataset.object_id(object).ok_or_else(|| {
@@ -186,26 +186,47 @@ impl TruthQuery {
     }
 }
 
-/// All predictions (optionally restricted to one object), sorted by
-/// `(ObjectId, AttributeId)` for byte-stable output.
-fn sorted_predictions(
-    dataset: &Dataset,
-    result: &TruthResult,
-    object: Option<td_model::ObjectId>,
-) -> Vec<Prediction> {
-    let mut rows: Vec<_> = result
-        .iter()
-        .filter(|&(o, _, _, _)| object.map_or(true, |want| o == want))
-        .collect();
+/// All predictions, sorted by `(ObjectId, AttributeId)` for
+/// byte-stable output.
+fn sorted_predictions(dataset: &Dataset, result: &TruthResult) -> Vec<Prediction> {
+    let mut rows: Vec<_> = result.iter().collect();
     rows.sort_by_key(|&(o, a, _, _)| (o, a));
     rows.into_iter()
-        .map(|(o, a, v, c)| Prediction {
-            object: dataset.object_name(o).to_string(),
-            attribute: dataset.attribute_name(a).to_string(),
-            value: dataset.value(v).clone(),
-            confidence: c,
+        .map(|(o, a, v, c)| prediction(dataset, o, a, v, c))
+        .collect()
+}
+
+/// One object's predictions in `AttributeId` order — the same rows, in
+/// the same order, as filtering [`sorted_predictions`] to `object`, at
+/// `O(|A|)` lookups instead of a scan over every prediction.
+fn object_predictions(
+    dataset: &Dataset,
+    result: &TruthResult,
+    object: ObjectId,
+) -> Vec<Prediction> {
+    dataset
+        .attribute_ids()
+        .filter_map(|a| {
+            let v = result.prediction(object, a)?;
+            let c = result.confidence(object, a)?;
+            Some(prediction(dataset, object, a, v, c))
         })
         .collect()
+}
+
+fn prediction(
+    dataset: &Dataset,
+    object: ObjectId,
+    attribute: AttributeId,
+    value: ValueId,
+    confidence: f64,
+) -> Prediction {
+    Prediction {
+        object: dataset.object_name(object).to_string(),
+        attribute: dataset.attribute_name(attribute).to_string(),
+        value: dataset.value(value).clone(),
+        confidence,
+    }
 }
 
 /// Every source's trust score, in `SourceId` order.
@@ -275,6 +296,52 @@ mod tests {
         assert_eq!(resp.predictions.len(), 1);
         assert_eq!(resp.predictions[0].value, Value::text("x"));
         assert!(resp.predictions[0].confidence > 0.5);
+    }
+
+    #[test]
+    fn object_lookup_matches_the_filtered_full_scan() {
+        // The filter-scan the object path replaced: every prediction,
+        // sorted by (object, attribute), kept when it names `object`.
+        fn filter_scan(
+            dataset: &Dataset,
+            result: &TruthResult,
+            object: ObjectId,
+        ) -> Vec<Prediction> {
+            sorted_predictions(dataset, result)
+                .into_iter()
+                .filter(|p| p.object == dataset.object_name(object))
+                .collect()
+        }
+        let (full, full_result) = fixture();
+        // A sparse dataset: `o2` lacks `a1` and `a3`, `o3` has only `a3`.
+        let mut b = DatasetBuilder::new();
+        for (o, a, v) in [
+            ("o1", "a1", "x"),
+            ("o1", "a2", "y"),
+            ("o1", "a3", "z"),
+            ("o2", "a2", "y"),
+            ("o3", "a3", "w"),
+        ] {
+            b.claim("s1", o, a, Value::text(v)).unwrap();
+            b.claim("s2", o, a, Value::text(v)).unwrap();
+        }
+        let sparse = b.build();
+        let sparse_result = MajorityVote.discover(&sparse.view_all());
+        for (dataset, result) in [(&full, &full_result), (&sparse, &sparse_result)] {
+            for o in dataset.object_ids() {
+                let got = TruthQuery::Object(dataset.object_name(o).to_string())
+                    .answer_result(dataset, result)
+                    .unwrap();
+                let want = filter_scan(dataset, result, o);
+                assert!(!want.is_empty());
+                assert_eq!(
+                    serde_json::to_string(&got.predictions).unwrap(),
+                    serde_json::to_string(&want).unwrap()
+                );
+            }
+        }
+        let o2 = sparse.object_id("o2").unwrap();
+        assert_eq!(object_predictions(&sparse, &sparse_result, o2).len(), 1);
     }
 
     #[test]

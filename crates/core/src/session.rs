@@ -153,8 +153,8 @@ pub struct IngestReport {
     pub outcome: TdacOutcome,
 }
 
-/// The maintained dense-path intermediates: Eq. 1 truth vectors (both
-/// representations) and the shared pairwise distance matrix.
+/// The maintained dense-path intermediates: the packed Eq. 1 truth
+/// vectors and the shared pairwise distance matrix.
 #[derive(Debug, Clone)]
 struct Derived {
     vectors: TruthVectors,
@@ -433,10 +433,10 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
                 0
             } else {
                 let d = derived.as_mut().expect("incremental path has dense state");
-                let old_n = d.vectors.dense.n_rows();
+                let old_n = d.vectors.packed.n_rows();
                 d.vectors.append_attribute_rows(n - old_n);
                 let target_cols = dataset.n_objects() * dataset.n_sources();
-                d.vectors.append_pair_cols(target_cols - d.vectors.dense.n_cols());
+                d.vectors.append_pair_cols(target_cols - d.vectors.packed.n_cols());
                 rescatter_rows(&mut d.vectors, &view, &new_reference, &dirty);
                 old_n
             };
@@ -902,7 +902,7 @@ fn sweep_and_finish(
     let n = attrs.len();
     let k_hi = config.k_max.unwrap_or(n - 1).min(n - 1);
     let ks: Vec<usize> = (config.k_min..=k_hi).collect();
-    let evals = sweep_dense(config, &derived.vectors.dense, &derived.dist, &ks, obs, budget);
+    let evals = sweep_dense(config, &derived.vectors.packed, &derived.dist, &ks, obs, budget);
     let (k_scores, best) = scan_winner(&ks, evals)?;
 
     let sweep_degradation = if k_scores.len() < ks.len() {

@@ -5,8 +5,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clustering::{
-    silhouette_paper_dist, Agglomerative, ClusterError, DistanceOptions, KMeans, KMeansConfig,
-    Matrix, Pam, PamConfig,
+    silhouette_paper_dist, Agglomerative, BitMatrix, ClusterError, DistanceOptions, KMeans,
+    KMeansConfig, Pam, PamConfig,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -209,15 +209,16 @@ pub(crate) fn isolate_k(
     }
 }
 
-/// One clustering of `data` into `k` groups, reusing the shared pairwise
-/// distance matrix wherever the method allows: PAM and hierarchical
-/// clustering are purely distance-based and never touch the feature
-/// vectors again; k-means still optimizes Eq. 3 inertia in feature space
-/// (centroids have no distance-matrix form).
+/// One clustering of the `n` truth vectors into `k` groups, reusing the
+/// sweep's shared matrices: k-means runs on the exact pairwise Hamming
+/// matrix `hamming` (Eq. 3 needs no centroids in feature space — see
+/// [`KMeans::fit_hamming`]), while PAM and hierarchical clustering run
+/// on the configured metric's distance matrix `dist`.
 pub(crate) fn cluster_cached(
     config: &TdacConfig,
-    data: &Matrix,
+    hamming: &[u64],
     dist: &[f64],
+    n: usize,
     k: usize,
     obs: &Observer,
 ) -> Result<Vec<usize>, ClusterError> {
@@ -229,7 +230,7 @@ pub(crate) fn cluster_cached(
                 seed: config.seed,
                 ..KMeansConfig::with_k(k)
             };
-            Ok(KMeans::new(cfg).fit_observed(data, obs)?.assignments)
+            Ok(KMeans::new(cfg).fit_hamming(hamming, n, obs)?.assignments)
         }
         ClusterMethod::Pam => {
             let cfg = PamConfig {
@@ -237,30 +238,36 @@ pub(crate) fn cluster_cached(
                 ..PamConfig::with_k(k)
             };
             Ok(Pam::new(cfg)
-                .fit_from_distances_observed(dist, data.n_rows(), obs)?
+                .fit_from_distances_observed(dist, n, obs)?
                 .assignments)
         }
         ClusterMethod::Hierarchical(linkage) => {
-            Agglomerative::new(linkage).fit_from_distances(dist, data.n_rows(), k)
+            Agglomerative::new(linkage).fit_from_distances(dist, n, k)
         }
     }
 }
 
-/// The dense-path silhouette sweep over the shared distance matrix —
-/// the parallel body of [`Tdac::run_view`], shared verbatim with the
-/// incremental [`crate::session::TdacSession`] so both drivers stay
-/// bit-identical by construction. Independent k values run in parallel;
-/// the caller picks the winner with [`scan_winner`].
+/// The silhouette sweep over the shared distance matrix — the parallel
+/// body of [`Tdac::run_view`], shared verbatim with the incremental
+/// [`crate::session::TdacSession`] so both drivers stay bit-identical by
+/// construction. The exact Hamming matrix k-means needs is built once
+/// from the packed truth vectors, before the k values fan out.
+/// Independent k values run in parallel; the caller picks the winner
+/// with [`scan_winner`].
 pub(crate) fn sweep_dense(
     config: &TdacConfig,
-    dense: &Matrix,
+    packed: &BitMatrix,
     dist: &[f64],
     ks: &[usize],
     obs: &Observer,
     budget: Option<&Budget>,
 ) -> Vec<KEval> {
-    let n = dense.n_rows();
+    let n = packed.n_rows();
     let _sweep = obs.span("k_sweep");
+    let hamming = match config.method {
+        ClusterMethod::KMeans => packed.hamming_matrix(),
+        _ => Vec::new(),
+    };
     ks.par_iter()
         .map(|&k| {
             if budget.is_some_and(|b| b.interrupted().is_some()) {
@@ -271,7 +278,7 @@ pub(crate) fn sweep_dense(
                 obs.incr(Counter::DistCacheHits, 1);
                 let assignments = {
                     let _c = obs.span("cluster");
-                    cluster_cached(config, dense, dist, k, obs)?
+                    cluster_cached(config, &hamming, dist, n, k, obs)?
                 };
                 let sil = silhouette_paper_dist(dist, n, &assignments);
                 Ok((assignments, sil))
@@ -752,12 +759,12 @@ impl Tdac {
             let dist = {
                 let _s = obs.span("distance_matrix");
                 obs.incr(Counter::DistCacheMisses, 1);
-                // Dual rows: the packed side feeds the popcount kernel
-                // when the metric counts bits, the dense side everything
-                // else — bit-identical either way.
+                // Packed rows feed the popcount kernel when the metric
+                // counts bits and are densified for any other metric —
+                // bit-identical either way.
                 dist_opts.pairwise(vectors.rows(), self.config.metric.as_metric())
             };
-            let evals = sweep_dense(&self.config, &vectors.dense, &dist, &ks, obs, budget);
+            let evals = sweep_dense(&self.config, &vectors.packed, &dist, &ks, obs, budget);
             (reference, evals)
         };
 

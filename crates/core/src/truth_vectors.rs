@@ -19,62 +19,45 @@ use clustering::{BitMatrix, Matrix, Rows};
 use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::DatasetView;
 
-/// The attribute truth vectors of Eq. 1 in both representations the
-/// distance layer can consume: the dense `f64` matrix k-means needs and
-/// the same rows bit-packed for the popcount Hamming kernel.
-///
-/// Both are built in one scatter pass over the view's claims, so they
-/// agree by construction; [`TruthVectors::rows`] hands them to
-/// `clustering` as [`Rows::Dual`], letting the kernel choose per metric
-/// without converting.
+/// The attribute truth vectors of Eq. 1, bit-packed: one `u64`-word row
+/// per attribute. Truth vectors are exactly 0/1, so the packed rows are
+/// the whole representation — the popcount kernel reads them directly,
+/// k-means runs on their exact Hamming matrix, and metrics that need
+/// floats densify them on the fly.
 #[derive(Debug, Clone)]
 pub struct TruthVectors {
-    /// Dense Eq. 1 matrix (attributes × object-source pairs).
-    pub dense: Matrix,
-    /// The same 0/1 rows packed into `u64` words.
+    /// The 0/1 rows packed into `u64` words.
     pub packed: BitMatrix,
 }
 
 impl TruthVectors {
-    /// Rebuilds the dual representation from an already-packed matrix —
-    /// the `td-store` load path. The dense side is unpacked from the
-    /// words; since truth vectors are exactly 0/1, the result is
-    /// bit-identical to the matrix the scatter pass would have built
-    /// against the same reference.
+    /// Wraps an already-packed matrix — the `td-store` load path. The
+    /// words are canonical, so the result is bit-identical to the matrix
+    /// the scatter pass would have built against the same reference.
     pub fn from_packed(packed: BitMatrix) -> Self {
-        Self {
-            dense: packed.to_dense(),
-            packed,
-        }
+        Self { packed }
     }
 
-    /// Both representations, for representation-aware distance kernels.
+    /// The rows, for representation-aware distance kernels.
     pub fn rows(&self) -> Rows<'_> {
-        Rows::Dual {
-            dense: &self.dense,
-            packed: &self.packed,
-        }
+        Rows::Packed(&self.packed)
     }
 
-    /// Appends `extra` all-zero attribute rows to both representations,
-    /// keeping them in lockstep. New attributes always arrive with
-    /// claims, so the incremental engine rescatters the appended rows
-    /// right after via [`rescatter_rows`].
+    /// Appends `extra` all-zero attribute rows. New attributes always
+    /// arrive with claims, so the incremental engine rescatters the
+    /// appended rows right after via [`rescatter_rows`].
     pub fn append_attribute_rows(&mut self, extra: usize) {
-        self.dense.append_zero_rows(extra);
         self.packed.append_zero_rows(extra);
     }
 
-    /// Appends `extra` all-zero `(object, source)` columns to both
-    /// representations. Because the column index is
-    /// `object.index() * n_sources + source.index()`, **new objects**
-    /// extend the column space purely at the tail (their block of
-    /// `n_sources` columns comes after every existing one), so existing
-    /// entries keep their coordinates bit-for-bit. New *sources* shift
-    /// every object's block and need a full rebuild instead — the
-    /// session enforces that distinction.
+    /// Appends `extra` all-zero `(object, source)` columns. Because the
+    /// column index is `object.index() * n_sources + source.index()`,
+    /// **new objects** extend the column space purely at the tail (their
+    /// block of `n_sources` columns comes after every existing one), so
+    /// existing entries keep their coordinates bit-for-bit. New
+    /// *sources* shift every object's block and need a full rebuild
+    /// instead — the session enforces that distinction.
     pub fn append_pair_cols(&mut self, extra: usize) {
-        self.dense.append_cols(extra);
         self.packed.append_cols(extra);
     }
 }
@@ -96,7 +79,6 @@ pub fn rescatter_rows(
 ) {
     let dataset = view.dataset();
     let n_sources = dataset.n_sources();
-    let n_cols = vectors.dense.n_cols();
     let mut row_of = vec![usize::MAX; dataset.n_attributes()];
     for (r, a) in view.attributes().iter().enumerate() {
         row_of[a.index()] = r;
@@ -108,9 +90,6 @@ pub fn rescatter_rows(
             continue;
         }
         dirty_row[row] = true;
-        for c in 0..n_cols {
-            vectors.dense.set(row, c, 0.0);
-        }
         vectors.packed.clear_row(row);
     }
     for cell in view.cells() {
@@ -124,7 +103,6 @@ pub fn rescatter_rows(
         for claim in view.cell_claims(cell) {
             if claim.value == truth {
                 let col = cell.object.index() * n_sources + claim.source.index();
-                vectors.dense.set(row, col, 1.0);
                 vectors.packed.set_bit(row, col, true);
             }
         }
@@ -139,8 +117,9 @@ pub fn rescatter_rows(
 /// Returns the matrix and the base run's result (so TD-AC can reuse the
 /// reference truth instead of re-running `F`). The reference base run is
 /// recorded against `observer` (fixpoint iterations, per-algorithm
-/// label); observation never changes the matrix or the reference. Use
-/// [`truth_vector_set`] when the packed representation is wanted too.
+/// label); observation never changes the matrix or the reference.
+/// [`truth_vector_set`] returns the packed rows the pipeline clusters
+/// instead.
 pub fn truth_vector_matrix(
     base: &dyn TruthDiscovery,
     view: &DatasetView<'_>,
@@ -151,9 +130,8 @@ pub fn truth_vector_matrix(
     (matrix, reference)
 }
 
-/// Like [`truth_vector_matrix`] but returns the dual-representation
-/// [`TruthVectors`] (dense + bit-packed, built in one pass) — what the
-/// TD-AC pipeline feeds the representation-aware distance kernel.
+/// Like [`truth_vector_matrix`] but returns the bit-packed
+/// [`TruthVectors`] — what the TD-AC pipeline clusters.
 pub fn truth_vector_set(
     base: &dyn TruthDiscovery,
     view: &DatasetView<'_>,
@@ -164,16 +142,18 @@ pub fn truth_vector_set(
     (vectors, reference)
 }
 
-/// Builds the truth-vector matrix against an already-computed reference
-/// truth (Eq. 1 verbatim; useful for testing and for oracle variants
-/// where the reference is the ground truth).
+/// Builds the dense truth-vector matrix against an already-computed
+/// reference truth (Eq. 1 verbatim; for feature-space clusterers, tests,
+/// and oracle variants where the reference is the ground truth). It is
+/// the unpacked [`truth_vector_set_from_result`].
 pub fn truth_vectors_from_result(view: &DatasetView<'_>, reference: &TruthResult) -> Matrix {
-    truth_vector_set_from_result(view, reference).dense
+    truth_vector_set_from_result(view, reference)
+        .packed
+        .to_dense()
 }
 
-/// Builds both representations of the truth vectors against an
-/// already-computed reference truth, scattering each matching claim into
-/// the dense matrix and the packed words in the same pass.
+/// Builds the packed truth vectors against an already-computed reference
+/// truth, setting one bit per claim that matches the reference.
 pub fn truth_vector_set_from_result(
     view: &DatasetView<'_>,
     reference: &TruthResult,
@@ -190,9 +170,7 @@ pub fn truth_vector_set_from_result(
         row_of[a.index()] = r;
     }
 
-    let n_cols = n_objects * n_sources;
-    let mut m = Matrix::zeros(n_attrs, n_cols);
-    let mut bits = BitMatrix::zeros(n_attrs, n_cols);
+    let mut bits = BitMatrix::zeros(n_attrs, n_objects * n_sources);
     for cell in view.cells() {
         let Some(truth) = reference.prediction(cell.object, cell.attribute) else {
             continue;
@@ -201,15 +179,11 @@ pub fn truth_vector_set_from_result(
         for claim in view.cell_claims(cell) {
             if claim.value == truth {
                 let col = cell.object.index() * n_sources + claim.source.index();
-                m.set(row, col, 1.0);
                 bits.set_bit(row, col, true);
             }
         }
     }
-    TruthVectors {
-        dense: m,
-        packed: bits,
-    }
+    TruthVectors { packed: bits }
 }
 
 #[cfg(test)]
@@ -314,21 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn dual_representations_agree_bit_for_bit() {
-        let d = running_example();
-        let (tv, reference) =
-            truth_vector_set(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        assert_eq!(tv.packed.to_dense(), tv.dense);
-        assert_eq!(tv.dense, truth_vectors_from_result(&d.view_all(), &reference));
-        assert_eq!(tv.rows().n_rows(), tv.dense.n_rows());
-        assert_eq!(tv.rows().n_cols(), tv.dense.n_cols());
-    }
-
-    #[test]
     fn rescatter_matches_from_scratch_build() {
-        // Rebuild one attribute's row against a *different* reference
-        // (the ground-truth-free MajorityVote of a grown dataset) and
-        // check the maintained matrix equals the from-scratch scatter.
+        // Rescattering against the reference the rows were built from
+        // reproduces them; a corrupted row comes back, and the rows of
+        // other attributes are never touched.
         let d = running_example();
         let view = d.view_all();
         let (mut tv, reference) =
@@ -339,30 +302,42 @@ mod tests {
         let all: Vec<_> = d.attribute_ids().collect();
         let before = tv.clone();
         rescatter_rows(&mut tv, &view, &reference, &all);
-        assert_eq!(tv.dense, before.dense);
-        assert_eq!(tv.packed.to_dense(), before.packed.to_dense());
+        assert_eq!(tv.packed, before.packed);
 
-        // Corrupt one row, then rescatter only that attribute: the row
-        // comes back, the others were never touched.
-        let q2 = d.attribute_id("Q2").unwrap();
-        tv.dense.set(q2.index(), 0, 0.5);
+        // Corrupt two rows, then rescatter only one attribute: that row
+        // comes back, the other keeps its corruption.
+        let (q1, q2) = (d.attribute_id("Q1").unwrap(), d.attribute_id("Q2").unwrap());
         tv.packed.set_bit(q2.index(), 0, true);
+        tv.packed.set_bit(q1.index(), 1, true);
         rescatter_rows(&mut tv, &view, &reference, &[q2]);
-        assert_eq!(tv.dense, before.dense);
-        assert_eq!(tv.packed.to_dense(), before.packed.to_dense());
+        assert_eq!(
+            tv.packed.row_words(q2.index()),
+            before.packed.row_words(q2.index())
+        );
+        assert!(tv.packed.get_bit(q1.index(), 1));
     }
 
     #[test]
-    fn append_keeps_representations_in_lockstep() {
+    fn append_grows_rows_and_pair_columns_with_zeros() {
         let d = running_example();
         let (mut tv, _) =
             truth_vector_set(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        let (rows, cols) = (tv.dense.n_rows(), tv.dense.n_cols());
+        let before = tv.packed.to_dense();
+        let (rows, cols) = (before.n_rows(), before.n_cols());
         tv.append_attribute_rows(2);
-        tv.append_pair_cols(67); // crosses a word boundary in the packed side
-        assert_eq!(tv.dense.n_rows(), rows + 2);
-        assert_eq!(tv.dense.n_cols(), cols + 67);
-        assert_eq!(tv.packed.to_dense(), tv.dense);
+        tv.append_pair_cols(67); // crosses a word boundary
+        let after = tv.packed.to_dense();
+        assert_eq!((after.n_rows(), after.n_cols()), (rows + 2, cols + 67));
+        for i in 0..after.n_rows() {
+            for j in 0..after.n_cols() {
+                let want = if i < rows && j < cols {
+                    before.get(i, j)
+                } else {
+                    0.0
+                };
+                assert_eq!(after.get(i, j), want, "({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!    pinned thread counts (`Threads(1)` / `Threads(2)` / `Threads(8)`),
 //!    and against itself under every distance-kernel policy (`Dense` /
 //!    `Packed` / `Auto`), all compared through bit-exact
-//!    [`fingerprint`]s.
+//!    [`fingerprint`]s — and the distance-space k-means of the k-sweep
+//!    against the feature-space fit it replaced ([`hamming_kmeans`]).
 //! 2. **Metamorphic invariants** (the `tests/` suites of this crate and
 //!    of `clustering` / `td-metrics`) — properties that must hold under
 //!    input transformations: relabeling sources/objects, shuffling claim
@@ -36,6 +37,7 @@
 pub mod chaos;
 pub mod fingerprint;
 pub mod golden;
+pub mod hamming_kmeans;
 pub mod kernels;
 pub mod oracle;
 pub mod store;

@@ -25,6 +25,9 @@ cargo test --offline -q -p td-verify --test observer
 echo "== kernel parity: packed vs dense distance kernels, DS1 golden =="
 cargo test --offline -q -p td-verify --test kernels
 
+echo "== distance-space k-means: exact Hamming Lloyd vs feature-space fit =="
+cargo test --offline -q -p td-verify --test kernel_kmeans
+
 echo "== chaos oracles: injected panics/stalls/cancels + budget invariants =="
 cargo test --offline -q -p td-verify --test chaos
 cargo test --offline -q -p td-verify --test limits_props
